@@ -15,15 +15,15 @@ from typing import List, Optional
 from .cnf import (CnfError, ContractViolation, PartialAssignment,
                   count_extensions, format_assignment, parse_assignment,
                   parse_cnf)
-from .colordefs import (CapExceeded as ColorCapExceeded, DefsetColorInstance,
-                        is_defining_coloring_set, min_defining_coloring_family,
-                        min_defining_coloring_set)
+from .colordefs import (DefsetColorInstance, is_defining_coloring_set,
+                        min_defining_coloring_family, min_defining_coloring_set)
 from .colorreduce import build_g_phi, build_h
+from .core import CapExceeded
 from .graphs import (Coloring, GraphError, count_colorings, format_coloring,
                      parse_coloring, parse_graph)
 from .oracle import VERIFIERS, first_proper_partial, verify_reduction
-from .satdefs import (CapExceeded, DefsetSatInstance, QuantifiedSplit,
-                      is_defining_set, min_defining_set, min_defining_set_family)
+from .satdefs import (DefsetSatInstance, QuantifiedSplit, is_defining_set,
+                      min_defining_set, min_defining_set_family)
 from .satreduce import (construct_mu, q2_artifact, reduce_q2_to_q3,
                         split_to_3cnf)
 
@@ -284,7 +284,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         code = dispatch(config)
     except (CnfError, GraphError, ContractViolation, CapExceeded,
-            ColorCapExceeded, FileNotFoundError, ValueError) as exc:
+            FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for line in config.lines:

@@ -8,19 +8,16 @@ them, and candidates are restrictions of the anchor.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Sequence, Tuple
 
 from .cnf import ContractViolation
+from .core import (CapExceeded, diff_mask, family_first_hitting_set,
+                   first_hitting_set)
 from .graphs import (Coloring, Graph, chromatic_number, count_colorings,
                      enumerate_colorings, is_proper)
 
 DEFAULT_VERTEX_CAP = 24
-
-
-class CapExceeded(Exception):
-    """Instance is above the configured desk-scale cap."""
 
 
 @dataclass(frozen=True)
@@ -28,6 +25,7 @@ class DefsetColorInstance:
     graph: Graph
     anchor: Coloring
     budget: Optional[int] = None
+    chi: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.anchor.colors) != self.graph.num_vertices:
@@ -40,10 +38,7 @@ class DefsetColorInstance:
                 f"anchor uses colors outside the optimal palette [0,{chi - 1}]")
         if min(self.anchor.colors, default=0) < 0:
             raise ContractViolation("negative color in anchor")
-
-    @property
-    def chi(self) -> int:
-        return chromatic_number(self.graph)
+        object.__setattr__(self, "chi", chi)
 
 
 def _check_cap(n: int, cap: int) -> None:
@@ -65,44 +60,33 @@ def is_defining_coloring_set(instance: DefsetColorInstance,
     return len(hits) == 1
 
 
-def _min_witness_of_size(instance: DefsetColorInstance, size: int, chi: int,
-                         jobs: int) -> Optional[Dict[int, int]]:
-    anchor = instance.anchor.as_dict()
-    combos = list(itertools.combinations(range(instance.graph.num_vertices), size))
+def _pair_witness(instance: DefsetColorInstance, required: Sequence[int] = (),
+                  upper: Optional[int] = None) -> Optional[Dict[int, int]]:
+    """Canonical defining set among supersets of `required` within `upper`;
+    each query asks for one optimal coloring other than the anchor."""
+    anchor = instance.anchor.colors
 
-    def check(combo: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
-        cand = {v: anchor[v] for v in combo}
-        if count_colorings(instance.graph, cand, limit=2, chi=chi) == 1:
-            return combo
-        return None
+    def counterexample(mask: int) -> Optional[int]:
+        fixed = {v: c for v, c in enumerate(anchor) if mask >> v & 1}
+        others = enumerate_colorings(instance.graph, fixed, limit=2,
+                                     chi=instance.chi)
+        return next((d for d in (diff_mask(o.colors, anchor, range(len(anchor)))
+                                 for o in others) if d), None)
 
-    if jobs <= 1:
-        for combo in combos:
-            if check(combo) is not None:
-                return {v: anchor[v] for v in combo}
-        return None
-    hits: List[Tuple[int, ...]] = []
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for result in pool.map(check, combos, chunksize=64):
-            if result is not None:
-                hits.append(result)
-    if not hits:
-        return None
-    return {v: anchor[v] for v in min(hits)}
+    verts = first_hitting_set(range(len(anchor)), counterexample,
+                              required=required, upper=upper)
+    return None if verts is None else {v: anchor[v] for v in verts}
 
 
 def min_defining_coloring_set(instance: DefsetColorInstance,
                               cap: int = DEFAULT_VERTEX_CAP,
                               jobs: int = 1) -> Tuple[int, Dict[int, int]]:
     """Smallest defining set of (colorings, anchor): size plus the canonical
-    witness (lexicographically smallest vertex subset of that size)."""
+    witness (lexicographically smallest vertex subset of that size).
+    `jobs` is accepted and ignored."""
     _check_cap(instance.graph.num_vertices, cap)
-    chi = instance.chi
-    for size in range(instance.graph.num_vertices + 1):
-        witness = _min_witness_of_size(instance, size, chi, jobs)
-        if witness is not None:
-            return size, witness
-    raise AssertionError("the anchor itself is always defining")  # unreachable
+    witness = _pair_witness(instance)
+    return len(witness), witness
 
 
 def forced_defining_vertices(instance: DefsetColorInstance) -> Tuple[int, ...]:
@@ -127,16 +111,8 @@ def min_defining_coloring_set_forced(instance: DefsetColorInstance,
     Equals the unrestricted minimum whenever every member of `forced` lies in
     every defining set (as established by forced_defining_vertices)."""
     _check_cap(instance.graph.num_vertices, cap)
-    chi = instance.chi
-    anchor = instance.anchor.as_dict()
-    rest = [v for v in range(instance.graph.num_vertices) if v not in forced]
-    for extra in range(len(rest) + 1):
-        for combo in itertools.combinations(rest, extra):
-            verts = tuple(sorted(forced + combo))
-            cand = {v: anchor[v] for v in verts}
-            if count_colorings(instance.graph, cand, limit=2, chi=chi) == 1:
-                return len(verts), cand
-    raise AssertionError("the anchor itself is always defining")  # unreachable
+    witness = _pair_witness(instance, required=forced)
+    return len(witness), witness
 
 
 def has_defining_coloring_within(instance: DefsetColorInstance, k: int,
@@ -144,11 +120,7 @@ def has_defining_coloring_within(instance: DefsetColorInstance, k: int,
                                  jobs: int = 1) -> bool:
     """Decision form of Q2 for colorings."""
     _check_cap(instance.graph.num_vertices, cap)
-    chi = instance.chi
-    for size in range(min(k, instance.graph.num_vertices) + 1):
-        if _min_witness_of_size(instance, size, chi, jobs) is not None:
-            return True
-    return False
+    return _pair_witness(instance, upper=k) is not None
 
 
 def family_has_defining_coloring_within(g: Graph, k: int,
@@ -185,20 +157,13 @@ def min_defining_coloring_family(g: Graph, cap: int = DEFAULT_VERTEX_CAP,
                                  jobs: int = 1
                                  ) -> Tuple[int, Coloring, Dict[int, int]]:
     """Minimum of min_defining_coloring_set over all optimal colorings.
-    Ties broken lexicographically on (witness items, anchor vector)."""
+    Ties broken lexicographically on (witness items, anchor vector).
+    The family is enumerated once and asked no further queries."""
     _check_cap(g.num_vertices, cap)
     chi = chromatic_number(g)
     anchors = enumerate_colorings(g, chi=chi)
     if not anchors:
         raise ContractViolation("graph admits no optimal coloring")  # unreachable
-    best = None
-    for anchor in anchors:
-        size, witness = min_defining_coloring_set(
-            DefsetColorInstance(g, anchor), cap=cap, jobs=jobs)
-        key = (size, tuple(sorted(witness.items())), anchor.colors)
-        if best is None or key < best[0]:
-            best = (key, anchor, witness)
-        if best[0][0] == 0:
-            break
-    _, anchor, witness = best
-    return best[0][0], anchor, witness
+    i, verts = family_first_hitting_set([a.colors for a in anchors],
+                                        range(g.num_vertices))
+    return len(verts), anchors[i], {v: anchors[i].colors[v] for v in verts}

@@ -82,21 +82,23 @@ def synthesize_clause_gadget() -> ClauseGadget:
 
 def _gadget_extensions(gadget: ClauseGadget, slots: Dict[str, int],
                        drop_w0_edge: bool = False) -> List[Dict[str, int]]:
-    """All proper interior colorings for fixed slot colors (w's at 0,1,2)."""
-    fixed = {"w0": 0, "w1": 1, "w2": 2, **slots}
-    edges = [(a, b) for a, b in gadget.internal_edges]
-    for tag, slot in gadget.boundary:
-        if drop_w0_edge and (tag, slot) == ("v8", "w0"):
-            continue
-        edges.append((tag, slot))
+    """All proper interior colorings for fixed slot colors (w's at 0,1,2),
+    lexicographic in the interior color vector.  Exhaustive: partial
+    colorings grow one interior vertex at a time, in tag order."""
     tags = gadget.internal_vertices
-    out = []
-    for combo in itertools.product(range(3), repeat=len(tags)):
-        col = dict(zip(tags, combo))
-        col.update(fixed)
-        if all(col[a] != col[b] for a, b in edges):
-            out.append(dict(zip(tags, combo)))
-    return out
+    at = {tag: i for i, tag in enumerate(tags)}
+    # an edge is checked once its later interior end is colored; an edge
+    # between two fixed vertices (index -1) at the last interior vertex
+    checks: List[List[Tuple[str, str]]] = [[] for _ in tags]
+    for a, b in gadget.internal_edges + gadget.boundary:
+        if not (drop_w0_edge and (a, b) == ("v8", "w0")):
+            checks[max(at.get(a, -1), at.get(b, -1))].append((a, b))
+    partial = [{"w0": 0, "w1": 1, "w2": 2, **slots}]
+    for tag, edges in zip(tags, checks):
+        partial = [col for part in partial
+                   for col in ({**part, tag: c} for c in range(3))
+                   if all(col[a] != col[b] for a, b in edges)]
+    return [{tag: col[tag] for tag in tags} for col in partial]
 
 
 def verify_clause_gadget(gadget: ClauseGadget) -> Dict[str, object]:

@@ -1,0 +1,64 @@
+"""The hitting-set core of every defining-set minimizer: a set of positions
+defines the anchor iff it hits the difference set of every other member."""
+
+from __future__ import annotations
+
+import itertools
+from typing import Callable, Iterable, Optional, Sequence, Tuple
+
+
+class CapExceeded(Exception):
+    """Instance is above the configured desk-scale cap."""
+
+
+def first_hitting_set(positions: Sequence[int],
+                      counterexample: Callable[[int], Optional[int]],
+                      required: Sequence[int] = (),
+                      upper: Optional[int] = None) -> Optional[Tuple[int, ...]]:
+    """Lexicographically first smallest defining set, as a sorted position
+    tuple, among supersets of `required` of size at most `upper`, or None.
+
+    Position p is bit 1 << p of a mask.  `counterexample(mask)` returns the
+    difference mask of a member other than the anchor that agrees with it on
+    `mask`, or None if there is none.  Candidates are `required` plus
+    `itertools.combinations` of the other positions by increasing size; one
+    that misses a mask already returned is skipped without a query."""
+    req = tuple(sorted(required))
+    rest = [p for p in positions if p not in req]
+    top = len(rest) if upper is None else min(upper - len(req), len(rest))
+    misses = []
+    for extra in range(top + 1):
+        for combo in itertools.combinations(rest, extra):
+            mask = sum(1 << p for p in req + combo)
+            if all(mask & diff for diff in misses):
+                diff = counterexample(mask)
+                if diff is None:
+                    return tuple(sorted(req + combo))
+                misses.append(diff)
+    return None
+
+
+def diff_mask(member, anchor, positions: Iterable[int]) -> int:
+    """Mask of the positions where two position-indexed vectors differ."""
+    return sum(1 << p for p in positions if member[p] != anchor[p])
+
+
+def family_first_hitting_set(members: Sequence, positions: Sequence[int]
+                             ) -> Tuple[int, Tuple[int, ...]]:
+    """(index, witness) of the member whose canonical defining set is
+    smallest, ties broken on (witness values, member vector); members[i][p]
+    is member i's value at position p.  Difference masks come from the
+    members themselves, so there are no queries."""
+    best = None
+    for i, anchor in enumerate(members):
+        diffs = [d for d in (diff_mask(m, anchor, positions) for m in members)
+                 if d]
+        found = first_hitting_set(
+            positions, lambda mask: next((d for d in diffs if not d & mask), None),
+            upper=None if best is None else best[0][0])
+        if found is not None:
+            key = (len(found), tuple((p, anchor[p]) for p in found),
+                   tuple(anchor[p] for p in positions))
+            if best is None or key < best[0]:
+                best = (key, i, found)
+    return best[1], best[2]

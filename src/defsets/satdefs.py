@@ -14,19 +14,16 @@ machinery, not a SAT solver.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .cnf import (CnfFormula, ContractViolation, Eval, PartialAssignment,
                   count_extensions, enumerate_proper, evaluate,
                   is_proper_partial)
+from .core import (CapExceeded, diff_mask, family_first_hitting_set,
+                   first_hitting_set)
 
 DEFAULT_VAR_CAP = 24
-
-
-class CapExceeded(Exception):
-    """Instance is above the configured desk-scale cap."""
 
 
 @dataclass(frozen=True)
@@ -85,39 +82,23 @@ def is_defining_set(instance: DefsetSatInstance, candidate: PartialAssignment,
     return len(models) == 1
 
 
-def _subsets_of_size(variables: Sequence[int], size: int):
-    # itertools.combinations over a sorted sequence is already lexicographic
-    return itertools.combinations(sorted(variables), size)
-
-
-def _min_witness_of_size(instance: DefsetSatInstance, size: int,
-                         jobs: int) -> Optional[PartialAssignment]:
-    """Lexicographically smallest defining subset of the anchor with the given
-    cardinality, or None.  Parallel workers only propose candidates; the
-    reducer picks the canonical one."""
+def _pair_witness(instance: DefsetSatInstance,
+                  upper: Optional[int] = None) -> Optional[PartialAssignment]:
+    """Canonical defining set within `upper`; each query asks for one
+    satisfying assignment other than the anchor."""
     anchor = instance.anchor.as_dict()
-    combos = list(_subsets_of_size(list(anchor), size))
+    variables = sorted(anchor)
 
-    def check(combo: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
-        cand = PartialAssignment.of({v: anchor[v] for v in combo})
-        if count_extensions(instance.formula, cand, limit=2) == 1:
-            return combo
-        return None
+    def counterexample(mask: int) -> Optional[int]:
+        fixed = PartialAssignment.of(
+            {v: b for v, b in anchor.items() if mask >> v & 1})
+        models = enumerate_proper(instance.formula, fixed, limit=2)
+        return next((d for d in (diff_mask(m.as_dict(), anchor, variables)
+                                 for m in models) if d), None)
 
-    if jobs <= 1:
-        for combo in combos:
-            if check(combo) is not None:
-                return PartialAssignment.of({v: anchor[v] for v in combo})
-        return None
-    hits: List[Tuple[int, ...]] = []
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for result in pool.map(check, combos, chunksize=64):
-            if result is not None:
-                hits.append(result)
-    if not hits:
-        return None
-    best = min(hits)
-    return PartialAssignment.of({v: anchor[v] for v in best})
+    combo = first_hitting_set(variables, counterexample, upper=upper)
+    return None if combo is None else \
+        PartialAssignment.of({v: anchor[v] for v in combo})
 
 
 def min_defining_set(instance: DefsetSatInstance, cap: int = DEFAULT_VAR_CAP,
@@ -125,46 +106,33 @@ def min_defining_set(instance: DefsetSatInstance, cap: int = DEFAULT_VAR_CAP,
     """Smallest defining set of (family, anchor): size and the canonical
     (lexicographically smallest by sorted index vector) witness.
 
-    Increasing-cardinality subset sweep with an inner uniqueness check that
-    stops at the second model."""
+    Increasing-cardinality subset sweep that queries only candidates hitting
+    every counterexample found so far.  `jobs` is accepted and ignored."""
     _check_cap(instance.formula.num_vars, cap)
-    for size in range(instance.formula.num_vars + 1):
-        witness = _min_witness_of_size(instance, size, jobs)
-        if witness is not None:
-            return size, witness
-    raise AssertionError("anchor itself must be a defining set")  # unreachable
+    witness = _pair_witness(instance)
+    return len(witness), witness
 
 
 def min_defining_set_family(formula: CnfFormula, cap: int = DEFAULT_VAR_CAP,
                             jobs: int = 1
                             ) -> Tuple[int, PartialAssignment, PartialAssignment]:
     """Minimum of min_defining_set over all satisfying anchors.
-    Ties broken lexicographically on (witness index vector, anchor vector)."""
+    Ties broken lexicographically on (witness index vector, anchor vector).
+    The family is enumerated once and asked no further queries."""
     _check_cap(formula.num_vars, cap)
     anchors = enumerate_proper(formula)
     if not anchors:
         raise ContractViolation("formula is unsatisfiable: no anchor exists")
-    best: Optional[Tuple[int, Tuple, Tuple, PartialAssignment, PartialAssignment]] = None
-    for anchor in anchors:
-        size, witness = min_defining_set(
-            DefsetSatInstance(formula, anchor), cap=cap, jobs=jobs)
-        key = (size, witness.bindings, anchor.bindings)
-        if best is None or key < best[:3]:
-            best = (size, witness.bindings, anchor.bindings, witness, anchor)
-        if best[0] == 0:
-            break
-    size, _, _, witness, anchor = best
-    return size, anchor, witness
+    i, combo = family_first_hitting_set([a.as_dict() for a in anchors],
+                                        formula.variables)
+    return len(combo), anchors[i], anchors[i].restrict(combo)
 
 
 def has_defining_set_within(instance: DefsetSatInstance, k: int,
                             cap: int = DEFAULT_VAR_CAP, jobs: int = 1) -> bool:
     """Decision form of Q2: does a defining set of size at most k exist?"""
     _check_cap(instance.formula.num_vars, cap)
-    for size in range(min(k, instance.formula.num_vars) + 1):
-        if _min_witness_of_size(instance, size, jobs) is not None:
-            return True
-    return False
+    return _pair_witness(instance, upper=k) is not None
 
 
 def family_has_defining_set_within(formula: CnfFormula, k: int,
@@ -175,7 +143,7 @@ def family_has_defining_set_within(formula: CnfFormula, k: int,
     extension."""
     _check_cap(formula.num_vars, cap)
     for size in range(min(k, formula.num_vars) + 1):
-        for combo in _subsets_of_size(list(formula.variables), size):
+        for combo in itertools.combinations(formula.variables, size):
             for bits in itertools.product([False, True], repeat=size):
                 cand = PartialAssignment.of(dict(zip(combo, bits)))
                 if count_extensions(formula, cand, limit=2) == 1:

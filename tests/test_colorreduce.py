@@ -48,6 +48,24 @@ def test_gadget_unique_interior_shared():
     assert len(interiors) == 1
 
 
+def test_gadget_extensions_match_full_product_sweep():
+    edges = list(FROZEN_GADGET.internal_edges) + list(FROZEN_GADGET.boundary)
+    tags = FROZEN_GADGET.internal_vertices
+    for bits in itertools.product([0, 1], repeat=3):
+        slots = {"w0": 0, "w1": 1, "w2": 2, **dict(zip(("u1", "u2", "u3"), bits))}
+        for drop in (False, True):
+            kept = [e for e in edges if not (drop and e == ("v8", "w0"))]
+            want = []
+            for combo in itertools.product(range(3), repeat=len(tags)):
+                col = {**slots, **dict(zip(tags, combo))}
+                if all(col[a] != col[b] for a, b in kept):
+                    want.append(dict(zip(tags, combo)))
+            got = _gadget_extensions(
+                FROZEN_GADGET, {k: slots[k] for k in ("u1", "u2", "u3")}, drop)
+            assert [list(e.items()) for e in got] == \
+                [list(e.items()) for e in want]
+
+
 def test_rotate_clause():
     t = {1: True, 2: False, 3: False}
     assert _rotate_clause((2, 1, 3), t)[1] == 1
