@@ -19,8 +19,8 @@ from .colordefs import (DefsetColorInstance, is_defining_coloring_set,
                         min_defining_coloring_family, min_defining_coloring_set)
 from .colorreduce import build_g_phi, build_h
 from .core import CapExceeded
-from .graphs import (Coloring, GraphError, count_colorings, format_coloring,
-                     parse_coloring, parse_graph)
+from .graphs import (Coloring, GraphError, format_coloring, parse_coloring,
+                     parse_graph)
 from .oracle import VERIFIERS, first_proper_partial, verify_reduction
 from .satdefs import (DefsetSatInstance, QuantifiedSplit, is_defining_set,
                       min_defining_set, min_defining_set_family)
@@ -90,7 +90,6 @@ def dispatch(config: RunConfig) -> int:
     sub = config.subcommand
     cap = args.max_vars
     vcap = args.max_vertices
-    jobs = args.jobs
 
     if sub == "sat-check":
         inst = _sat_instance(args)
@@ -103,7 +102,7 @@ def dispatch(config: RunConfig) -> int:
 
     if sub == "sat-min":
         inst = _sat_instance(args)
-        size, witness = min_defining_set(inst, cap=cap, jobs=jobs)
+        size, witness = min_defining_set(inst, cap=cap)
         hint = count_extensions(inst.formula, PartialAssignment(()), limit=100)
         config.record("sat-min", "yes" if args.k is None or size <= args.k else "no",
                       min_size=size, witness=format_assignment(witness),
@@ -112,7 +111,7 @@ def dispatch(config: RunConfig) -> int:
 
     if sub == "sat-family-min":
         formula = parse_cnf(_read(args.formula))
-        size, anchor, witness = min_defining_set_family(formula, cap=cap, jobs=jobs)
+        size, anchor, witness = min_defining_set_family(formula, cap=cap)
         hint = count_extensions(formula, PartialAssignment(()), limit=100)
         config.record("sat-family-min",
                       "yes" if args.k is None or size <= args.k else "no",
@@ -130,7 +129,7 @@ def dispatch(config: RunConfig) -> int:
 
     if sub == "color-min":
         inst = _color_instance(args)
-        size, witness = min_defining_coloring_set(inst, cap=vcap, jobs=jobs)
+        size, witness = min_defining_coloring_set(inst, cap=vcap)
         wtext = " ".join(f"{v}:{c}" for v, c in sorted(witness.items()))
         config.record("color-min",
                       "yes" if args.k is None or size <= args.k else "no",
@@ -139,7 +138,7 @@ def dispatch(config: RunConfig) -> int:
 
     if sub == "color-family-min":
         g = parse_graph(_read(args.graph))
-        size, anchor, witness = min_defining_coloring_family(g, cap=vcap, jobs=jobs)
+        size, anchor, witness = min_defining_coloring_family(g, cap=vcap)
         wtext = " ".join(f"{v}:{c}" for v, c in sorted(witness.items()))
         config.record("color-family-min",
                       "yes" if args.k is None or size <= args.k else "no",
@@ -212,7 +211,7 @@ def dispatch(config: RunConfig) -> int:
         params = {}
         if args.seed is not None:
             params["seed"] = args.seed
-        report = verify_reduction(args.reduction, jobs=jobs, **params)
+        report = verify_reduction(args.reduction, **params)
         config.emit(report.text().rstrip("\n"))
         return 0 if report.ok else 1
 
@@ -230,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="budget for decision forms")
     common.add_argument("--max-vars", type=int, default=24)
     common.add_argument("--max-vertices", type=int, default=24)
-    common.add_argument("--jobs", type=int, default=1)
+    common.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility; ignored")
     common.add_argument("--format", choices=["text", "record"], default="text")
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--provenance-out", default=None)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from .cnf import ContractViolation
 from .core import (CapExceeded, diff_mask, family_first_hitting_set,
@@ -60,10 +60,10 @@ def is_defining_coloring_set(instance: DefsetColorInstance,
     return len(hits) == 1
 
 
-def _pair_witness(instance: DefsetColorInstance, required: Sequence[int] = (),
+def _pair_witness(instance: DefsetColorInstance,
                   upper: Optional[int] = None) -> Optional[Dict[int, int]]:
-    """Canonical defining set among supersets of `required` within `upper`;
-    each query asks for one optimal coloring other than the anchor."""
+    """Canonical defining set within `upper`; each query asks for one
+    optimal coloring other than the anchor."""
     anchor = instance.anchor.colors
 
     def counterexample(mask: int) -> Optional[int]:
@@ -73,51 +73,22 @@ def _pair_witness(instance: DefsetColorInstance, required: Sequence[int] = (),
         return next((d for d in (diff_mask(o.colors, anchor, range(len(anchor)))
                                  for o in others) if d), None)
 
-    verts = first_hitting_set(range(len(anchor)), counterexample,
-                              required=required, upper=upper)
+    verts = first_hitting_set(range(len(anchor)), counterexample, upper=upper)
     return None if verts is None else {v: anchor[v] for v in verts}
 
 
 def min_defining_coloring_set(instance: DefsetColorInstance,
-                              cap: int = DEFAULT_VERTEX_CAP,
-                              jobs: int = 1) -> Tuple[int, Dict[int, int]]:
+                              cap: int = DEFAULT_VERTEX_CAP
+                              ) -> Tuple[int, Dict[int, int]]:
     """Smallest defining set of (colorings, anchor): size plus the canonical
-    witness (lexicographically smallest vertex subset of that size).
-    `jobs` is accepted and ignored."""
+    witness (lexicographically smallest vertex subset of that size)."""
     _check_cap(instance.graph.num_vertices, cap)
     witness = _pair_witness(instance)
     return len(witness), witness
 
 
-def forced_defining_vertices(instance: DefsetColorInstance) -> Tuple[int, ...]:
-    """Vertices provably in every defining set of (family, anchor): those for
-    which a second optimal coloring agrees with the anchor everywhere else.
-    Fixing all other vertices then still leaves two extensions."""
-    chi = instance.chi
-    anchor = instance.anchor.as_dict()
-    forced = []
-    for v in range(instance.graph.num_vertices):
-        rest = {u: c for u, c in anchor.items() if u != v}
-        if count_colorings(instance.graph, rest, limit=2, chi=chi) > 1:
-            forced.append(v)
-    return tuple(forced)
-
-
-def min_defining_coloring_set_forced(instance: DefsetColorInstance,
-                                     forced: Tuple[int, ...],
-                                     cap: int = DEFAULT_VERTEX_CAP
-                                     ) -> Tuple[int, Dict[int, int]]:
-    """Exact minimum defining set restricted to supersets of `forced`.
-    Equals the unrestricted minimum whenever every member of `forced` lies in
-    every defining set (as established by forced_defining_vertices)."""
-    _check_cap(instance.graph.num_vertices, cap)
-    witness = _pair_witness(instance, required=forced)
-    return len(witness), witness
-
-
 def has_defining_coloring_within(instance: DefsetColorInstance, k: int,
-                                 cap: int = DEFAULT_VERTEX_CAP,
-                                 jobs: int = 1) -> bool:
+                                 cap: int = DEFAULT_VERTEX_CAP) -> bool:
     """Decision form of Q2 for colorings."""
     _check_cap(instance.graph.num_vertices, cap)
     return _pair_witness(instance, upper=k) is not None
@@ -125,19 +96,20 @@ def has_defining_coloring_within(instance: DefsetColorInstance, k: int,
 
 def family_has_defining_coloring_within(g: Graph, k: int,
                                         cap: int = DEFAULT_VERTEX_CAP,
-                                        required: Tuple[int, ...] = (),
                                         chi: Optional[int] = None) -> bool:
     """Decision form of Q3 for colorings: sweep partial colorings directly.
     A partial coloring with exactly one proper optimal extension is a
     defining set of that extension.
 
-    `required` names vertices known to lie in every defining set (callers
-    must have verified that, e.g. by exhibiting recolorings); only subsets
-    containing them are swept, which keeps padded instances tractable."""
+    A vertex of degree at most chi-2 lies in every defining set of every
+    member: its neighbors block at most chi-2 colors, so a color other than
+    its own is left to recolor it with.  Only subsets containing these
+    vertices are swept, which keeps padded instances tractable."""
     _check_cap(g.num_vertices, cap)
     if chi is None:
         chi = chromatic_number(g)
-    req = tuple(sorted(required))
+    adj = g.adjacency()
+    req = tuple(v for v in range(g.num_vertices) if len(adj[v]) <= chi - 2)
     if len(req) > k:
         return False
     rest = [v for v in range(g.num_vertices) if v not in req]
@@ -153,8 +125,7 @@ def family_has_defining_coloring_within(g: Graph, k: int,
     return False
 
 
-def min_defining_coloring_family(g: Graph, cap: int = DEFAULT_VERTEX_CAP,
-                                 jobs: int = 1
+def min_defining_coloring_family(g: Graph, cap: int = DEFAULT_VERTEX_CAP
                                  ) -> Tuple[int, Coloring, Dict[int, int]]:
     """Minimum of min_defining_coloring_set over all optimal colorings.
     Ties broken lexicographically on (witness items, anchor vector).

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .cnf import (CnfFormula, ContractViolation, PartialAssignment,
                   normalize_width)
@@ -156,15 +156,18 @@ def _rotate_clause(clause: Tuple[int, ...], t: Dict[int, bool]) -> Tuple[int, ..
     raise ContractViolation(f"clause {clause} has no true literal under the anchor")
 
 
-def build_g_phi(phi: CnfFormula, t: PartialAssignment) -> ColoringArtifact:
+def build_g_phi(phi: CnfFormula,
+                t: Optional[PartialAssignment]) -> ColoringArtifact:
     """Formula graph: anchor triangle, four pendant tiebreakers, a literal
     vertex pair per variable, and one frozen clause gadget per clause.
-    Returns the graph with its canonical coloring c_t."""
+    Returns the graph with its canonical coloring c_t.  With t None (say,
+    for an unsatisfiable formula) clause slots keep their file order
+    instead of rotating onto a true literal, and there is no coloring."""
     if phi.width > 3:
         raise ContractViolation(f"input must be 3CNF, got width {phi.width}")
-    tmap = t.as_dict()
-    if set(t.support) != set(phi.variables):
+    if t is not None and set(t.support) != set(phi.variables):
         raise ContractViolation("anchor must be total")
+    tmap = {} if t is None else t.as_dict()
     phi3 = normalize_width(phi, 3)
 
     labels: Dict[int, str] = {}
@@ -193,7 +196,7 @@ def build_g_phi(phi: CnfFormula, t: PartialAssignment) -> ColoringArtifact:
     upos: Dict[int, int] = {}
     uneg: Dict[int, int] = {}
     for x in phi.variables:
-        cx = 1 if tmap[x] else 0
+        cx = 1 if tmap.get(x) else 0
         upos[x] = add_vertex(f"u_x{x}", cx)
         uneg[x] = add_vertex(f"u_~x{x}", 1 - cx)
         add_edge(upos[x], uneg[x])
@@ -203,7 +206,7 @@ def build_g_phi(phi: CnfFormula, t: PartialAssignment) -> ColoringArtifact:
     gadget = synthesize_clause_gadget()
     canon = dict(CANONICAL_INTERIOR)
     for ci, clause in enumerate(phi3.clauses, start=1):
-        a1, a2, a3 = _rotate_clause(clause, tmap)
+        a1, a2, a3 = clause if t is None else _rotate_clause(clause, tmap)
         slot_vertex = {}
         for slot, lit in (("u1", a1), ("u2", a2), ("u3", a3)):
             slot_vertex[slot] = upos[abs(lit)] if lit > 0 else uneg[abs(lit)]
@@ -216,6 +219,8 @@ def build_g_phi(phi: CnfFormula, t: PartialAssignment) -> ColoringArtifact:
             add_edge(interior[tag], slot_vertex[slot])
 
     g = Graph.of(next_v, sorted(edges), labels)
+    if t is None:
+        return ColoringArtifact(g, None)
     anchor = Coloring.of(colors, next_v)
     if not is_proper(g, anchor.as_dict()):
         raise ContractViolation("constructed coloring c_t is not proper")

@@ -13,27 +13,31 @@ class CapExceeded(Exception):
 
 def first_hitting_set(positions: Sequence[int],
                       counterexample: Callable[[int], Optional[int]],
-                      required: Sequence[int] = (),
                       upper: Optional[int] = None) -> Optional[Tuple[int, ...]]:
     """Lexicographically first smallest defining set, as a sorted position
-    tuple, among supersets of `required` of size at most `upper`, or None.
+    tuple, of size at most `upper`, or None.
 
     Position p is bit 1 << p of a mask.  `counterexample(mask)` returns the
     difference mask of a member other than the anchor that agrees with it on
-    `mask`, or None if there is none.  Candidates are `required` plus
-    `itertools.combinations` of the other positions by increasing size; one
-    that misses a mask already returned is skipped without a query."""
-    req = tuple(sorted(required))
-    rest = [p for p in positions if p not in req]
-    top = len(rest) if upper is None else min(upper - len(req), len(rest))
-    misses = []
+    `mask`, or None if there is none.  Position p is forced when a member
+    agrees with the anchor everywhere but p; one query per position finds
+    these, and every defining set contains them.  Candidates are the forced
+    positions plus `itertools.combinations` of the others by increasing
+    size; one that misses a mask already returned is skipped without a
+    query."""
+    full = sum(1 << p for p in positions)
+    forced = tuple(p for p in positions
+                   if counterexample(full & ~(1 << p)) is not None)
+    misses = [1 << p for p in forced]
+    rest = [p for p in positions if p not in forced]
+    top = len(rest) if upper is None else min(upper - len(forced), len(rest))
     for extra in range(top + 1):
         for combo in itertools.combinations(rest, extra):
-            mask = sum(1 << p for p in req + combo)
+            mask = sum(1 << p for p in forced + combo)
             if all(mask & diff for diff in misses):
                 diff = counterexample(mask)
                 if diff is None:
-                    return tuple(sorted(req + combo))
+                    return tuple(sorted(forced + combo))
                 misses.append(diff)
     return None
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cnf import ContractViolation
+from .core import CapExceeded
 
 DEFAULT_VERTEX_CAP = 64
 
@@ -177,7 +178,7 @@ def is_k_colorable(g: Graph, k: int) -> bool:
 def chromatic_number(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> int:
     """Exact chromatic number by iterative deepening over k."""
     if g.num_vertices > cap:
-        raise ContractViolation(
+        raise CapExceeded(
             f"graph has {g.num_vertices} vertices, above the cap of {cap}")
     if g.num_vertices == 0:
         return 0

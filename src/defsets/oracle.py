@@ -16,9 +16,10 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .cnf import CnfFormula, PartialAssignment
 from .colordefs import (DefsetColorInstance, family_has_defining_coloring_within,
-                        forced_defining_vertices, has_defining_coloring_within,
-                        min_defining_coloring_set_forced)
+                        has_defining_coloring_within, is_defining_coloring_set,
+                        min_defining_coloring_set)
 from .colorreduce import build_g_phi, build_h, synthesize_clause_gadget
+from .core import CapExceeded
 from .graphs import Coloring, Graph, chromatic_number, enumerate_colorings
 from .satdefs import (DefsetSatInstance, QuantifiedSplit, exists_forall_check,
                       exists_uniqueexists_check, family_has_defining_set_within,
@@ -29,8 +30,7 @@ ORACLE_SAT_CAP = 16
 ORACLE_COLOR_CAP = 12
 
 
-class OracleCapExceeded(Exception):
-    pass
+OracleCapExceeded = CapExceeded  # the oracle caps raise the one cap error
 
 
 def _truth_table_models(formula: CnfFormula) -> List[Tuple[bool, ...]]:
@@ -181,7 +181,7 @@ def _splits(num_vars: int) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
         yield xs, ys
 
 
-def verify_mu(max_vars: int = 3, max_clauses: int = 2, jobs: int = 1) -> VerifyReport:
+def verify_mu(max_vars: int = 3, max_clauses: int = 2) -> VerifyReport:
     """Both sides of the escape-literal equivalence, exhaustively."""
     report = VerifyReport("mu", {"max_vars": max_vars, "max_clauses": max_clauses,
                                  "universe": "distinct-variable clauses"})
@@ -201,7 +201,7 @@ def verify_mu(max_vars: int = 3, max_clauses: int = 2, jobs: int = 1) -> VerifyR
     return report
 
 
-def verify_cprime(jobs: int = 1) -> VerifyReport:
+def verify_cprime() -> VerifyReport:
     """The six-clause gadget tally plus the 3CNF-splitting equivalence."""
     report = VerifyReport("cprime", {"boundary_cases": 16})
     start = time.perf_counter()
@@ -257,7 +257,7 @@ def _eval_clauses(clauses, values: Dict[int, bool]) -> bool:
 
 
 def verify_q2(count: int = 200, seed: int = 2024, max_vars: int = 4,
-              max_clauses: int = 4, jobs: int = 1) -> VerifyReport:
+              max_clauses: int = 4) -> VerifyReport:
     report = VerifyReport("q2", {"count": count, "seed": seed,
                                  "max_vars": max_vars, "max_clauses": max_clauses})
     start = time.perf_counter()
@@ -275,7 +275,7 @@ def verify_q2(count: int = 200, seed: int = 2024, max_vars: int = 4,
         split = QuantifiedSplit(phi, xs, ys, t)
         lhs = exists_uniqueexists_check(split)
         instance, _ = reduce_unique_to_q2(split)
-        rhs = has_defining_set_within(instance, len(xs), jobs=jobs)
+        rhs = has_defining_set_within(instance, len(xs))
         report.instances += 1
         if lhs != rhs:
             report.mismatches.append(
@@ -286,8 +286,8 @@ def verify_q2(count: int = 200, seed: int = 2024, max_vars: int = 4,
 
 
 def verify_q3(count: int = 200, seed: int = 2025, max_vars: int = 4,
-              max_clauses: int = 4, budgets: Tuple[int, ...] = (0, 1, 2),
-              jobs: int = 1) -> VerifyReport:
+              max_clauses: int = 4, budgets: Tuple[int, ...] = (0, 1, 2)
+              ) -> VerifyReport:
     report = VerifyReport("q3", {"count": count, "seed": seed,
                                  "max_vars": max_vars, "max_clauses": max_clauses,
                                  "budgets": budgets})
@@ -316,8 +316,7 @@ def verify_q3(count: int = 200, seed: int = 2025, max_vars: int = 4,
     return report
 
 
-def verify_gphi(max_vars: int = 2, max_clauses: int = 2,
-                jobs: int = 1) -> VerifyReport:
+def verify_gphi(max_vars: int = 2, max_clauses: int = 2) -> VerifyReport:
     """The +4 law and the chromatic-number criterion, exhaustively over the
     small clause universe."""
     report = VerifyReport("gphi", {"max_vars": max_vars,
@@ -329,8 +328,7 @@ def verify_gphi(max_vars: int = 2, max_clauses: int = 2,
         for phi in enumerate_small_formulas(n, max_clauses):
             models = _truth_table_models(phi)
             if not models:
-                art = build_g_phi_unsat(phi)
-                chi = chromatic_number(art)
+                chi = chromatic_number(build_g_phi(phi, None).graph)
                 report.instances += 1
                 if chi < 4:
                     report.mismatches.append(
@@ -347,16 +345,17 @@ def verify_gphi(max_vars: int = 2, max_clauses: int = 2,
                         f"sat phi={phi.clauses}: chi(G)={chi} != 3")
                     continue
                 inst = DefsetColorInstance(art.graph, art.anchor)
-                wprimes = tuple(v for v in range(art.graph.num_vertices)
-                                if art.graph.label_of(v).startswith("w'"))
-                forced = forced_defining_vertices(inst)
-                if not set(wprimes) <= set(forced):
+                anchor = art.anchor.as_dict()
+                wprimes = [v for v in anchor
+                           if art.graph.label_of(v).startswith("w'")]
+                if any(is_defining_coloring_set(
+                        inst, {u: c for u, c in anchor.items() if u != v},
+                        cap=64) for v in wprimes):
                     report.mismatches.append(
                         f"phi={phi.clauses} t={t.bindings}: some w' vertex "
                         f"avoidable in a defining set")
                     continue
-                color_min, _ = min_defining_coloring_set_forced(
-                    inst, wprimes, cap=64)
+                color_min, _ = min_defining_coloring_set(inst, cap=64)
                 sat_min, _ = min_defining_set(DefsetSatInstance(phi, t))
                 if color_min != sat_min + 4:
                     report.mismatches.append(
@@ -364,54 +363,6 @@ def verify_gphi(max_vars: int = 2, max_clauses: int = 2,
                         f"coloring min {color_min} != sat min {sat_min} + 4")
     report.wall_time = time.perf_counter() - start
     return report
-
-
-def build_g_phi_unsat(phi: CnfFormula) -> Graph:
-    """Graph-only variant for unsatisfiable formulas: no anchor exists, so
-    clause slots keep their file order instead of rotating onto a true
-    literal."""
-    from .cnf import normalize_width
-    from .colorreduce import CANONICAL_INTERIOR, FROZEN_GADGET
-
-    phi3 = normalize_width(phi, 3)
-    labels: Dict[int, str] = {}
-    edges = set()
-    next_v = 0
-
-    def add_vertex(label: str) -> int:
-        nonlocal next_v
-        v = next_v
-        next_v += 1
-        labels[v] = label
-        return v
-
-    def add_edge(a, b):
-        edges.add((min(a, b), max(a, b)))
-
-    w = [add_vertex(f"w{i}") for i in range(3)]
-    add_edge(w[0], w[1]); add_edge(w[1], w[2]); add_edge(w[0], w[2])
-    wp = [add_vertex(f"w'{i + 1}") for i in range(4)]
-    add_edge(wp[0], w[0]); add_edge(wp[1], w[0])
-    add_edge(wp[2], w[1]); add_edge(wp[3], w[1])
-    upos, uneg = {}, {}
-    for x in phi3.variables:
-        upos[x] = add_vertex(f"u_x{x}")
-        uneg[x] = add_vertex(f"u_~x{x}")
-        add_edge(upos[x], uneg[x])
-        add_edge(upos[x], w[2])
-        add_edge(uneg[x], w[2])
-    gadget = FROZEN_GADGET
-    for ci, clause in enumerate(phi3.clauses, start=1):
-        slot_vertex = {"w0": w[0], "w1": w[1], "w2": w[2]}
-        for slot, lit in zip(("u1", "u2", "u3"), clause):
-            slot_vertex[slot] = upos[abs(lit)] if lit > 0 else uneg[abs(lit)]
-        interior = {tag: add_vertex(f"c{ci}-{tag}")
-                    for tag in gadget.internal_vertices}
-        for a, b in gadget.internal_edges:
-            add_edge(interior[a], interior[b])
-        for tag, slot in gadget.boundary:
-            add_edge(interior[tag], slot_vertex[slot])
-    return Graph.of(next_v, sorted(edges), labels)
 
 
 def random_chi3_graph(rng: random.Random, max_vertices: int = 6
@@ -438,7 +389,7 @@ def random_chi3_graph(rng: random.Random, max_vertices: int = 6
 
 
 def verify_h(count: int = 20, seed: int = 2026, max_vertices: int = 6,
-             budgets: Tuple[int, ...] = (0, 1), jobs: int = 1) -> VerifyReport:
+             budgets: Tuple[int, ...] = (0, 1)) -> VerifyReport:
     report = VerifyReport("h", {"count": count, "seed": seed,
                                 "max_vertices": max_vertices, "budgets": budgets})
     start = time.perf_counter()
@@ -458,9 +409,8 @@ def verify_h(count: int = 20, seed: int = 2026, max_vertices: int = 6,
         if degs != [1, 1, 1, 1]:
             report.mismatches.append(f"instance {i}: w' degrees {degs}")
             continue
-        lhs = has_defining_coloring_within(DefsetColorInstance(g, c), k, jobs=jobs)
-        rhs = family_has_defining_coloring_within(
-            h, k + 4, cap=64, required=wprimes, chi=3)
+        lhs = has_defining_coloring_within(DefsetColorInstance(g, c), k)
+        rhs = family_has_defining_coloring_within(h, k + 4, cap=64, chi=3)
         if lhs != rhs:
             report.mismatches.append(
                 f"instance {i} (n={g.num_vertices}, k={k}): "
@@ -479,8 +429,8 @@ VERIFIERS = {
 }
 
 
-def verify_reduction(name: str, jobs: int = 1, **params) -> VerifyReport:
+def verify_reduction(name: str, **params) -> VerifyReport:
     if name not in VERIFIERS:
         raise ValueError(f"unknown reduction {name!r}; "
                          f"choose from {sorted(VERIFIERS)}")
-    return VERIFIERS[name](jobs=jobs, **params)
+    return VERIFIERS[name](**params)

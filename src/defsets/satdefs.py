@@ -101,20 +101,19 @@ def _pair_witness(instance: DefsetSatInstance,
         PartialAssignment.of({v: anchor[v] for v in combo})
 
 
-def min_defining_set(instance: DefsetSatInstance, cap: int = DEFAULT_VAR_CAP,
-                     jobs: int = 1) -> Tuple[int, PartialAssignment]:
+def min_defining_set(instance: DefsetSatInstance, cap: int = DEFAULT_VAR_CAP
+                     ) -> Tuple[int, PartialAssignment]:
     """Smallest defining set of (family, anchor): size and the canonical
     (lexicographically smallest by sorted index vector) witness.
 
     Increasing-cardinality subset sweep that queries only candidates hitting
-    every counterexample found so far.  `jobs` is accepted and ignored."""
+    every counterexample found so far."""
     _check_cap(instance.formula.num_vars, cap)
     witness = _pair_witness(instance)
     return len(witness), witness
 
 
-def min_defining_set_family(formula: CnfFormula, cap: int = DEFAULT_VAR_CAP,
-                            jobs: int = 1
+def min_defining_set_family(formula: CnfFormula, cap: int = DEFAULT_VAR_CAP
                             ) -> Tuple[int, PartialAssignment, PartialAssignment]:
     """Minimum of min_defining_set over all satisfying anchors.
     Ties broken lexicographically on (witness index vector, anchor vector).
@@ -129,7 +128,7 @@ def min_defining_set_family(formula: CnfFormula, cap: int = DEFAULT_VAR_CAP,
 
 
 def has_defining_set_within(instance: DefsetSatInstance, k: int,
-                            cap: int = DEFAULT_VAR_CAP, jobs: int = 1) -> bool:
+                            cap: int = DEFAULT_VAR_CAP) -> bool:
     """Decision form of Q2: does a defining set of size at most k exist?"""
     _check_cap(instance.formula.num_vars, cap)
     return _pair_witness(instance, upper=k) is not None

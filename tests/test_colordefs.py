@@ -1,16 +1,16 @@
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
 from defsets.cnf import ContractViolation
 from defsets.colordefs import (CapExceeded, DefsetColorInstance,
                                family_has_defining_coloring_within,
-                               forced_defining_vertices,
                                has_defining_coloring_within,
                                is_defining_coloring_set,
                                min_defining_coloring_family,
-                               min_defining_coloring_set,
-                               min_defining_coloring_set_forced)
+                               min_defining_coloring_set)
 from defsets.graphs import Coloring, Graph, enumerate_colorings
 
 TRIANGLE = Graph.of(3, [(0, 1), (1, 2), (0, 2)])
@@ -86,20 +86,26 @@ def test_family_min_bounded_by_every_pair_min():
 
 def test_forced_vertices_sound():
     for g in (STAR, TRIANGLE, Graph.of(4, [(0, 1), (1, 2), (2, 3)])):
-        for anchor in enumerate_colorings(g):
+        family = enumerate_colorings(g)
+        for anchor in family:
             inst = DefsetColorInstance(g, anchor)
-            forced = forced_defining_vertices(inst)
-            size, witness = min_defining_coloring_set(inst)
-            # every forced vertex appears in every defining set, in particular
-            # the canonical minimum-size witness
+            # a vertex is forced when some member differs from the anchor
+            # there and nowhere else
+            diffs = [[v for v in range(g.num_vertices)
+                      if m.value(v) != anchor.value(v)] for m in family]
+            forced = {d[0] for d in diffs if len(d) == 1}
+            first = None
+            # every forced vertex appears in every defining set, and the
+            # first forced superset that defines is the canonical witness
             for size2 in range(g.num_vertices + 1):
                 for combo in itertools.combinations(range(g.num_vertices),
                                                     size2):
                     cand = {v: anchor.value(v) for v in combo}
                     if is_defining_coloring_set(inst, cand):
-                        assert set(forced) <= set(combo)
-            restricted = min_defining_coloring_set_forced(inst, forced)
-            assert restricted[0] == size
+                        assert forced <= set(combo)
+                        if first is None:
+                            first = cand
+            assert min_defining_coloring_set(inst) == (len(first), first)
 
 
 def test_decision_forms_agree_with_minimum():
@@ -113,8 +119,34 @@ def test_decision_forms_agree_with_minimum():
 
 def test_family_decision_with_required_vertices():
     # hub of the star lies in every defining set of every anchor
-    assert family_has_defining_coloring_within(STAR, 1, required=(0,))
-    assert not family_has_defining_coloring_within(STAR, 0, required=(0,))
+    assert family_has_defining_coloring_within(STAR, 1)
+    assert not family_has_defining_coloring_within(STAR, 0)
+
+
+def test_family_decision_matches_colour_product_reference():
+    # isolated and pendant vertices lie in every defining set once chi >= 3;
+    # the decision form assumes so, and the reference below does not
+    rng = random.Random(16)
+    for _ in range(12):
+        core = rng.randint(2, 5)
+        edges = {e for e in itertools.combinations(range(core), 2)
+                 if rng.random() < 0.6}
+        n = rng.randint(core + 1, 7)
+        for v in range(core, n):
+            if rng.random() < 0.7:
+                edges.add((rng.randrange(v), v))
+        g = Graph.of(n, sorted(edges))
+        for chi in range(1, n + 1):
+            family = [cols for cols in itertools.product(range(chi), repeat=n)
+                      if all(cols[u] != cols[v] for u, v in edges)]
+            if family:
+                break
+        fmin = min(len(combo) for size in range(n + 1)
+                   for combo in itertools.combinations(range(n), size)
+                   if 1 in Counter(tuple(cols[v] for v in combo)
+                                   for cols in family).values())
+        for k in range(n + 1):
+            assert family_has_defining_coloring_within(g, k) == (fmin <= k)
 
 
 def test_cap_enforced():
@@ -123,14 +155,6 @@ def test_cap_enforced():
     with pytest.raises(CapExceeded):
         min_defining_coloring_set(inst)
     assert min_defining_coloring_set(inst, cap=30) == (0, {})
-
-
-def test_parallel_matches_sequential():
-    g = Graph.of(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-    anchor = enumerate_colorings(g)[0]
-    inst = DefsetColorInstance(g, anchor)
-    assert min_defining_coloring_set(inst, jobs=1) == \
-        min_defining_coloring_set(inst, jobs=4)
 
 
 def test_oracle_agreement_small():

@@ -5,8 +5,8 @@ import pytest
 from defsets.cnf import CnfFormula, ContractViolation, PartialAssignment
 from defsets.colordefs import (DefsetColorInstance,
                                family_has_defining_coloring_within,
-                               forced_defining_vertices,
-                               min_defining_coloring_set_forced)
+                               is_defining_coloring_set,
+                               min_defining_coloring_set)
 from defsets.colorreduce import (FROZEN_GADGET, _gadget_extensions,
                                  _rotate_clause, build_g_phi, build_h,
                                  synthesize_clause_gadget,
@@ -101,9 +101,9 @@ def test_g_phi_chromatic_three_iff_satisfiable():
     art = build_g_phi(sat, PA({1: True, 2: True}))
     assert chromatic_number(art.graph) == 3
     # unsatisfiable: same construction minus rotation needs a fourth color
-    from defsets.oracle import build_g_phi_unsat
     unsat = CnfFormula.of(1, [(1, 1, 1), (-1, -1, -1)])
-    assert chromatic_number(build_g_phi_unsat(unsat)) == 4
+    art = build_g_phi(unsat, None)
+    assert art.anchor is None and chromatic_number(art.graph) == 4
 
 
 def test_g_phi_minimum_shift_toy():
@@ -118,9 +118,11 @@ def test_g_phi_minimum_shift_toy():
         sat_min = min_defining_set(DefsetSatInstance(phi, t))[0]
         art = build_g_phi(phi, t)
         inst = DefsetColorInstance(art.graph, art.anchor)
-        forced = forced_defining_vertices(inst)
-        assert set(range(3, 7)) <= set(forced)  # the four pendants
-        color_min = min_defining_coloring_set_forced(inst, forced, cap=32)[0]
+        anchor = art.anchor.as_dict()
+        for v in range(3, 7):  # the four pendants are forced
+            rest = {u: c for u, c in anchor.items() if u != v}
+            assert not is_defining_coloring_set(inst, rest, cap=32)
+        color_min = min_defining_coloring_set(inst, cap=32)[0]
         assert color_min == sat_min + 4
 
 
@@ -160,10 +162,9 @@ def test_build_h_law_toy():
     inst = DefsetColorInstance(tri, c)
     for k in (0, 1, 2):
         art = build_h(tri, c, k)
-        wp = tuple(range(art.graph.num_vertices - 4, art.graph.num_vertices))
         assert has_defining_coloring_within(inst, k) == \
             family_has_defining_coloring_within(
-                art.graph, art.budget_out, cap=32, required=wp, chi=3)
+                art.graph, art.budget_out, cap=32, chi=3)
 
 
 def test_provenance_text_covers_all_vertices():

@@ -10,8 +10,7 @@ from defsets.cnf import CnfFormula, PartialAssignment
 from defsets.colordefs import (DefsetColorInstance,
                                has_defining_coloring_within,
                                min_defining_coloring_family,
-                               min_defining_coloring_set,
-                               min_defining_coloring_set_forced)
+                               min_defining_coloring_set)
 from defsets.core import first_hitting_set
 from defsets.graphs import Coloring, Graph
 from defsets.satdefs import (DefsetSatInstance, has_defining_set_within,
@@ -22,6 +21,7 @@ def first_defining(anchor, family, positions, forced=()):
     """Lexicographically first smallest superset of `forced` that no other
     member agrees with the anchor on; members and anchor are tuples indexed
     by position."""
+    forced = tuple(forced)
     rest = [p for p in positions if p not in forced]
     for size in range(len(rest) + 1):
         hits = [tuple(sorted(forced + combo))
@@ -31,6 +31,14 @@ def first_defining(anchor, family, positions, forced=()):
                    for m in family):
                 return cand
     raise AssertionError("the anchor itself is always defining")
+
+
+def forced_positions(anchor, family, positions):
+    """Positions at which some member differs from the anchor and nowhere
+    else; every defining set contains them."""
+    return tuple(p for p in positions
+                 if any([q for q in positions if m[q] != anchor[q]] == [p]
+                        for m in family))
 
 
 def sat_instances(count, seed, max_vars=8):
@@ -75,8 +83,8 @@ def test_core_against_brute_force_hitting_sets():
     for _ in range(400):
         n = rng.randint(1, 8)
         diffs = [rng.randrange(1, 1 << n) for _ in range(rng.randint(0, 12))]
-        required = tuple(sorted(
-            rng.sample(range(n), rng.randint(0, min(2, n)))))
+        singles = rng.sample(range(n), rng.randint(0, min(2, n)))
+        diffs += [1 << p for p in singles]
         upper = rng.choice([None, rng.randint(0, n)])
         asked = []
 
@@ -84,16 +92,24 @@ def test_core_against_brute_force_hitting_sets():
             asked.append(mask)
             return next((d for d in diffs if not d & mask), None)
 
-        got = first_hitting_set(range(n), counterexample, required, upper)
-        want = next((cand for size in range(n + 1)
-                     for cand in itertools.combinations(range(n), size)
-                     if set(required) <= set(cand)
-                     and (upper is None or size <= upper)
-                     and all(any(d >> p & 1 for p in cand) for d in diffs)),
-                    None)
-        assert got == want
-        # every query but the last returns a mask no earlier query returned
-        assert len(asked) <= len(set(diffs)) + 1
+        def brute(base):
+            return next((cand for size in range(n + 1)
+                         for cand in itertools.combinations(range(n), size)
+                         if set(base) <= set(cand)
+                         and (upper is None or size <= upper)
+                         and all(any(d >> p & 1 for p in cand)
+                                 for d in diffs)),
+                        None)
+
+        got = first_hitting_set(range(n), counterexample, upper)
+        forced = [p for p in range(n) if 1 << p in diffs]
+        assert got == brute(()) == brute(forced)
+        # one query per position, then every query but the last returns a
+        # mask no earlier query returned
+        full = (1 << n) - 1
+        assert asked[:n] == [full & ~(1 << p) for p in range(n)]
+        wide = set(diffs) - {1 << p for p in range(n)}
+        assert len(asked) <= n + len(wide) + 1
 
 
 def test_sat_pair_witness_and_decision_forms():
@@ -121,7 +137,6 @@ def test_sat_family_tie_break():
 
 
 def test_coloring_pair_witness_decision_and_forced_forms():
-    rng = random.Random(13)
     for g, family, anchor in chi3_graphs(80, seed=13):
         n = g.num_vertices
         inst = DefsetColorInstance(g, Coloring(anchor))
@@ -131,9 +146,10 @@ def test_coloring_pair_witness_decision_and_forced_forms():
         assert witness == {v: anchor[v] for v in want}
         for k in range(n + 1):
             assert has_defining_coloring_within(inst, k) == (len(want) <= k)
-        forced = tuple(sorted(rng.sample(range(n), rng.randint(0, 3))))
+        # the plain minimizer is the forced-superset minimizer
+        forced = forced_positions(anchor, family, range(n))
         want = first_defining(anchor, family, range(n), forced)
-        assert min_defining_coloring_set_forced(inst, forced) == \
+        assert min_defining_coloring_set(inst) == \
             (len(want), {v: anchor[v] for v in want})
 
 

@@ -168,13 +168,6 @@ def test_decision_forms_agree_with_minimum():
     assert family_has_defining_set_within(f, 1)
 
 
-def test_parallel_sweep_matches_sequential():
-    f = CnfFormula.of(4, [(1, 2, 3), (-1, -2), (3, 4), (-3, -4)])
-    anchor = PA({1: True, 2: False, 3: True, 4: False})
-    instance = DefsetSatInstance(f, anchor)
-    assert min_defining_set(instance, jobs=1) == min_defining_set(instance, jobs=4)
-
-
 def test_variable_cap_enforced():
     f = CnfFormula.of(30, [(v,) for v in range(1, 31)])
     anchor = PA({v: True for v in f.variables})
