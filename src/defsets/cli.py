@@ -12,13 +12,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
 
-from .cnf import (CnfError, ContractViolation, PartialAssignment,
-                  count_extensions, format_assignment, parse_assignment,
-                  parse_cnf)
+from .cnf import (CnfError, ContractViolation, enumerate_proper,
+                  format_assignment, parse_assignment, parse_cnf)
 from .colordefs import (DefsetColorInstance, is_defining_coloring_set,
                         min_defining_coloring_family, min_defining_coloring_set)
 from .colorreduce import build_g_phi, build_h
-from .core import CapExceeded
+from .core import DEFAULT_CAP, CapExceeded
 from .graphs import (Coloring, GraphError, format_coloring, parse_coloring,
                      parse_graph)
 from .oracle import VERIFIERS, first_proper_partial, verify_reduction
@@ -95,7 +94,7 @@ def dispatch(config: RunConfig) -> int:
         inst = _sat_instance(args)
         cand = parse_assignment(_read(args.candidate))
         ans = is_defining_set(inst, cand, cap=cap)
-        hint = count_extensions(inst.formula, cand, limit=100)
+        hint = len(enumerate_proper(inst.formula, cand, limit=100))
         config.record("sat-check", "yes" if ans else "no",
                       model_count_hint=hint)
         return 0 if ans else 1
@@ -103,7 +102,7 @@ def dispatch(config: RunConfig) -> int:
     if sub == "sat-min":
         inst = _sat_instance(args)
         size, witness = min_defining_set(inst, cap=cap)
-        hint = count_extensions(inst.formula, PartialAssignment(()), limit=100)
+        hint = len(enumerate_proper(inst.formula, limit=100))
         config.record("sat-min", "yes" if args.k is None or size <= args.k else "no",
                       min_size=size, witness=format_assignment(witness),
                       model_count_hint=hint)
@@ -112,7 +111,7 @@ def dispatch(config: RunConfig) -> int:
     if sub == "sat-family-min":
         formula = parse_cnf(_read(args.formula))
         size, anchor, witness = min_defining_set_family(formula, cap=cap)
-        hint = count_extensions(formula, PartialAssignment(()), limit=100)
+        hint = len(enumerate_proper(formula, limit=100))
         config.record("sat-family-min",
                       "yes" if args.k is None or size <= args.k else "no",
                       min_size=size, witness=format_assignment(witness),
@@ -159,17 +158,16 @@ def dispatch(config: RunConfig) -> int:
 
     if sub == "reduce-q2":
         formula = parse_cnf(_read(args.formula))
-        xs = tuple(int(v) for v in args.x_vars.split(",")) if args.x_vars else ()
-        ys = tuple(v for v in formula.variables if v not in xs)
+        split = _split_from_args(args, formula)
         if args.anchor:
             t = parse_assignment(_read(args.anchor))
         else:
-            t = first_proper_partial(formula, ys)
+            t = first_proper_partial(formula, split.y_vars)
             if t is None:
                 raise ContractViolation(
                     "no proper partial assignment exists over the y-block; "
                     "provide --anchor or change --x-vars")
-        art = q2_artifact(QuantifiedSplit(formula, xs, ys, t))
+        art = q2_artifact(_split_from_args(args, formula, t))
         _write_out(args, art.output.to_dimacs(), config.lines)
         if args.provenance_out:
             Path(args.provenance_out).write_text(art.provenance_text())
@@ -227,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--k", type=int, default=None,
                         help="budget for decision forms")
-    common.add_argument("--max-vars", type=int, default=24)
-    common.add_argument("--max-vertices", type=int, default=24)
+    common.add_argument("--max-vars", type=int, default=DEFAULT_CAP)
+    common.add_argument("--max-vertices", type=int, default=DEFAULT_CAP)
     common.add_argument("--jobs", type=int, default=1,
                         help="accepted for compatibility; ignored")
     common.add_argument("--format", choices=["text", "record"], default="text")

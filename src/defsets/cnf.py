@@ -77,7 +77,6 @@ EMPTY_ASSIGNMENT = PartialAssignment(())
 class CnfFormula:
     num_vars: int
     clauses: Tuple[Tuple[int, ...], ...]
-    var_names: Optional[Tuple[Tuple[int, str], ...]] = None
 
     def __post_init__(self):
         if self.num_vars < 0:
@@ -90,10 +89,8 @@ class CnfFormula:
                     raise CnfError(f"literal {lit} out of range in clause {i + 1}")
 
     @staticmethod
-    def of(num_vars: int, clauses: Sequence[Sequence[int]],
-           var_names: Optional[Dict[int, str]] = None) -> "CnfFormula":
-        names = tuple(sorted(var_names.items())) if var_names else None
-        return CnfFormula(num_vars, tuple(tuple(c) for c in clauses), names)
+    def of(num_vars: int, clauses: Sequence[Sequence[int]]) -> "CnfFormula":
+        return CnfFormula(num_vars, tuple(tuple(c) for c in clauses))
 
     @property
     def variables(self) -> range:
@@ -103,13 +100,6 @@ class CnfFormula:
     def width(self) -> int:
         """Max distinct-literal clause size."""
         return max((len(set(c)) for c in self.clauses), default=0)
-
-    def name_of(self, var: int) -> str:
-        if self.var_names:
-            for v, name in self.var_names:
-                if v == var:
-                    return name
-        return f"x{var}"
 
     def to_dimacs(self) -> str:
         lines = [f"p cnf {self.num_vars} {len(self.clauses)}"]
@@ -166,17 +156,22 @@ def parse_cnf(text: str) -> CnfFormula:
 
 
 def parse_assignment(text: str) -> PartialAssignment:
-    """Parse one line of signed integers terminated by 0 (positive = true)."""
+    """Parse signed integers terminated by 0 (positive = true).  Raises
+    CnfError naming the bad line."""
     bindings: Dict[int, bool] = {}
-    for tok in text.split():
-        lit = int(tok)
-        if lit == 0:
-            break
-        var = abs(lit)
-        val = lit > 0
-        if var in bindings and bindings[var] != val:
-            raise CnfError(f"conflicting values for variable {var}")
-        bindings[var] = val
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for tok in line.split():
+            try:
+                lit = int(tok)
+            except ValueError:
+                raise CnfError(f"line {lineno}: bad token {tok!r}")
+            if lit == 0:
+                return PartialAssignment.of(bindings)
+            var, val = abs(lit), lit > 0
+            if bindings.get(var, val) != val:
+                raise CnfError(
+                    f"line {lineno}: conflicting values for variable {var}")
+            bindings[var] = val
     return PartialAssignment.of(bindings)
 
 
@@ -260,17 +255,6 @@ def enumerate_proper(formula: CnfFormula, fixed: PartialAssignment = EMPTY_ASSIG
     return out
 
 
-def count_extensions(formula: CnfFormula, fixed: PartialAssignment,
-                     limit: int) -> int:
-    """Number of total satisfying extensions of fixed, capped at limit."""
-    n = 0
-    for _ in _extensions(formula, fixed):
-        n += 1
-        if n >= limit:
-            break
-    return n
-
-
 def normalize_width(formula: CnfFormula, k: int) -> CnfFormula:
     """Pad clauses shorter than k by duplicating their first literal.
     Leaves the family of satisfying assignments unchanged."""
@@ -282,4 +266,4 @@ def normalize_width(formula: CnfFormula, k: int) -> CnfFormula:
         while len(c) < k:
             c.append(c[0])
         padded.append(tuple(c))
-    return CnfFormula(formula.num_vars, tuple(padded), formula.var_names)
+    return CnfFormula(formula.num_vars, tuple(padded))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cnf import ContractViolation
-from .core import CapExceeded
+from .core import check_cap
 
 DEFAULT_VERTEX_CAP = 64
 
@@ -87,9 +87,17 @@ class Coloring:
         return all(self.colors[v] == c for v, c in partial.items())
 
 
+def _ints(tokens: Sequence[str], lineno: int) -> List[int]:
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise GraphError(f"line {lineno}: non-integer token in {tokens}")
+
+
 def parse_graph(text: str) -> Graph:
-    """Parse a DIMACS edge document (`p edge n m`, `e u v` lines, 1-based)."""
-    num_vertices = None
+    """Parse a DIMACS edge document (`p edge n m`, `e u v` lines, 1-based).
+    Raises GraphError naming the bad line."""
+    num_vertices = header_line = None
     edges: List[Tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -99,13 +107,16 @@ def parse_graph(text: str) -> Graph:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] not in ("edge", "edges"):
                 raise GraphError(f"line {lineno}: malformed header {line!r}")
-            num_vertices = int(parts[2])
+            num_vertices, declared = _ints(parts[2:], lineno)
+            header_line = lineno
+            if num_vertices < 0 or declared < 0:
+                raise GraphError(f"line {lineno}: negative counts in header")
         elif parts[0] == "e":
             if num_vertices is None:
                 raise GraphError(f"line {lineno}: edge before header")
             if len(parts) != 3:
                 raise GraphError(f"line {lineno}: malformed edge line")
-            u, v = int(parts[1]) - 1, int(parts[2]) - 1
+            u, v = (x - 1 for x in _ints(parts[1:], lineno))
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                 raise GraphError(f"line {lineno}: vertex out of range")
             edges.append((u, v))
@@ -113,11 +124,15 @@ def parse_graph(text: str) -> Graph:
             raise GraphError(f"line {lineno}: unrecognized line {line!r}")
     if num_vertices is None:
         raise GraphError("missing 'p edge' header")
+    if declared != len(edges):
+        raise GraphError(f"line {header_line}: header declares {declared} edges, "
+                         f"found {len(edges)}")
     return Graph.of(num_vertices, edges)
 
 
 def parse_coloring(text: str) -> Dict[int, int]:
-    """Parse `v <vertex> <color>` lines (1-based vertices) into a partial map."""
+    """Parse `v <vertex> <color>` lines (1-based vertices) into a partial map.
+    Raises GraphError naming the bad line."""
     out: Dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -126,7 +141,12 @@ def parse_coloring(text: str) -> Dict[int, int]:
         parts = line.split()
         if len(parts) != 3 or parts[0] != "v":
             raise GraphError(f"line {lineno}: expected 'v <vertex> <color>'")
-        out[int(parts[1]) - 1] = int(parts[2])
+        vertex, color = _ints(parts[1:], lineno)
+        if vertex < 1 or color < 0:
+            raise GraphError(f"line {lineno}: vertex below 1 or negative color")
+        if vertex - 1 in out:
+            raise GraphError(f"line {lineno}: vertex {vertex} colored twice")
+        out[vertex - 1] = color
     return out
 
 
@@ -177,9 +197,7 @@ def is_k_colorable(g: Graph, k: int) -> bool:
 
 def chromatic_number(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> int:
     """Exact chromatic number by iterative deepening over k."""
-    if g.num_vertices > cap:
-        raise CapExceeded(
-            f"graph has {g.num_vertices} vertices, above the cap of {cap}")
+    check_cap(g.num_vertices, cap, "vertices")
     if g.num_vertices == 0:
         return 0
     for k in range(1, g.num_vertices + 1):
@@ -203,12 +221,3 @@ def enumerate_colorings(g: Graph, fixed: Optional[Dict[int, int]] = None,
             break
     return out
 
-
-def count_colorings(g: Graph, fixed: Dict[int, int], limit: int,
-                    chi: int) -> int:
-    n = 0
-    for _ in _colorings(g, chi, fixed):
-        n += 1
-        if n >= limit:
-            break
-    return n

@@ -13,17 +13,14 @@ machinery, not a SAT solver.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .cnf import (CnfFormula, ContractViolation, Eval, PartialAssignment,
-                  count_extensions, enumerate_proper, evaluate,
-                  is_proper_partial)
-from .core import (CapExceeded, diff_mask, family_first_hitting_set,
-                   first_hitting_set)
-
-DEFAULT_VAR_CAP = 24
+                  enumerate_proper, evaluate, is_proper_partial)
+from .core import (DEFAULT_CAP, CapExceeded, assignments, check_cap,
+                   family_first_hitting_set, family_has_defining_within,
+                   pair_witness)
 
 
 @dataclass(frozen=True)
@@ -65,60 +62,40 @@ class QuantifiedSplit:
                 raise ContractViolation("anchor is not a proper partial assignment")
 
 
-def _check_cap(num_vars: int, cap: int) -> None:
-    if num_vars > cap:
-        raise CapExceeded(
-            f"instance has {num_vars} variables, above the cap of {cap}; "
-            f"raise the cap explicitly if you really want this")
+def _members(formula: CnfFormula):
+    """The family callback: at most two models agreeing with `fixed`."""
+    return lambda fixed: [m.as_dict() for m in enumerate_proper(
+        formula, PartialAssignment.of(fixed), limit=2)]
 
 
 def is_defining_set(instance: DefsetSatInstance, candidate: PartialAssignment,
-                    cap: int = DEFAULT_VAR_CAP) -> bool:
+                    cap: int = DEFAULT_CAP) -> bool:
     """True iff the anchor is the unique satisfying extension of candidate."""
-    _check_cap(instance.formula.num_vars, cap)
+    check_cap(instance.formula.num_vars, cap, "variables")
     if not instance.anchor.extends(candidate):
         raise ContractViolation("candidate is not a restriction of the anchor")
-    models = enumerate_proper(instance.formula, candidate, limit=2)
-    return len(models) == 1
+    return len(enumerate_proper(instance.formula, candidate, limit=2)) == 1
 
 
-def _pair_witness(instance: DefsetSatInstance,
-                  upper: Optional[int] = None) -> Optional[PartialAssignment]:
-    """Canonical defining set within `upper`; each query asks for one
-    satisfying assignment other than the anchor."""
-    anchor = instance.anchor.as_dict()
-    variables = sorted(anchor)
-
-    def counterexample(mask: int) -> Optional[int]:
-        fixed = PartialAssignment.of(
-            {v: b for v, b in anchor.items() if mask >> v & 1})
-        models = enumerate_proper(instance.formula, fixed, limit=2)
-        return next((d for d in (diff_mask(m.as_dict(), anchor, variables)
-                                 for m in models) if d), None)
-
-    combo = first_hitting_set(variables, counterexample, upper=upper)
-    return None if combo is None else \
-        PartialAssignment.of({v: anchor[v] for v in combo})
-
-
-def min_defining_set(instance: DefsetSatInstance, cap: int = DEFAULT_VAR_CAP
+def min_defining_set(instance: DefsetSatInstance, cap: int = DEFAULT_CAP
                      ) -> Tuple[int, PartialAssignment]:
     """Smallest defining set of (family, anchor): size and the canonical
     (lexicographically smallest by sorted index vector) witness.
 
     Increasing-cardinality subset sweep that queries only candidates hitting
     every counterexample found so far."""
-    _check_cap(instance.formula.num_vars, cap)
-    witness = _pair_witness(instance)
-    return len(witness), witness
+    check_cap(instance.formula.num_vars, cap, "variables")
+    combo = pair_witness(instance.formula.variables, instance.anchor.as_dict(),
+                         _members(instance.formula))
+    return len(combo), instance.anchor.restrict(combo)
 
 
-def min_defining_set_family(formula: CnfFormula, cap: int = DEFAULT_VAR_CAP
+def min_defining_set_family(formula: CnfFormula, cap: int = DEFAULT_CAP
                             ) -> Tuple[int, PartialAssignment, PartialAssignment]:
     """Minimum of min_defining_set over all satisfying anchors.
     Ties broken lexicographically on (witness index vector, anchor vector).
     The family is enumerated once and asked no further queries."""
-    _check_cap(formula.num_vars, cap)
+    check_cap(formula.num_vars, cap, "variables")
     anchors = enumerate_proper(formula)
     if not anchors:
         raise ContractViolation("formula is unsatisfiable: no anchor exists")
@@ -128,51 +105,42 @@ def min_defining_set_family(formula: CnfFormula, cap: int = DEFAULT_VAR_CAP
 
 
 def has_defining_set_within(instance: DefsetSatInstance, k: int,
-                            cap: int = DEFAULT_VAR_CAP) -> bool:
+                            cap: int = DEFAULT_CAP) -> bool:
     """Decision form of Q2: does a defining set of size at most k exist?"""
-    _check_cap(instance.formula.num_vars, cap)
-    return _pair_witness(instance, upper=k) is not None
+    check_cap(instance.formula.num_vars, cap, "variables")
+    return pair_witness(instance.formula.variables, instance.anchor.as_dict(),
+                        _members(instance.formula), upper=k) is not None
 
 
 def family_has_defining_set_within(formula: CnfFormula, k: int,
-                                   cap: int = DEFAULT_VAR_CAP) -> bool:
+                                   cap: int = DEFAULT_CAP) -> bool:
     """Decision form of Q3: does any member of the family have a defining set
-    of size at most k?  Sweeps partial assignments directly: a subset with
-    exactly one satisfying total extension is a defining set of that
-    extension."""
-    _check_cap(formula.num_vars, cap)
-    for size in range(min(k, formula.num_vars) + 1):
-        for combo in itertools.combinations(formula.variables, size):
-            for bits in itertools.product([False, True], repeat=size):
-                cand = PartialAssignment.of(dict(zip(combo, bits)))
-                if count_extensions(formula, cand, limit=2) == 1:
-                    return True
-    return False
+    of size at most k?"""
+    check_cap(formula.num_vars, cap, "variables")
+    return family_has_defining_within(formula.variables, (False, True),
+                                      _members(formula), k)
 
 
-def exists_forall_check(split: QuantifiedSplit, cap: int = DEFAULT_VAR_CAP) -> bool:
+def exists_forall_check(split: QuantifiedSplit, cap: int = DEFAULT_CAP) -> bool:
     """Does some x-assignment admit no satisfying completion on the y-block?
     Brute force over both blocks."""
     if split.anchor_t is not None:
         raise ContractViolation("exists_forall_check takes a split without anchor")
-    _check_cap(split.formula.num_vars, cap)
-    for xbits in itertools.product([False, True], repeat=len(split.x_vars)):
-        fixed = PartialAssignment.of(dict(zip(split.x_vars, xbits)))
-        if count_extensions(split.formula, fixed, limit=1) == 0:
-            return True
-    return False
+    check_cap(split.formula.num_vars, cap, "variables")
+    return any(not enumerate_proper(split.formula, PartialAssignment.of(x),
+                                    limit=1)
+               for x in assignments(split.x_vars, (False, True)))
 
 
 def exists_uniqueexists_check(split: QuantifiedSplit,
-                              cap: int = DEFAULT_VAR_CAP) -> bool:
+                              cap: int = DEFAULT_CAP) -> bool:
     """Does some x-assignment make (anchor on y) the unique satisfying
     assignment agreeing with it on the x-block?"""
     if split.anchor_t is None:
         raise ContractViolation("exists_uniqueexists_check needs the y-anchor")
-    _check_cap(split.formula.num_vars, cap)
-    for xbits in itertools.product([False, True], repeat=len(split.x_vars)):
-        fixed = PartialAssignment.of(dict(zip(split.x_vars, xbits)))
-        models = enumerate_proper(split.formula, fixed, limit=2)
+    check_cap(split.formula.num_vars, cap, "variables")
+    for x in assignments(split.x_vars, (False, True)):
+        models = enumerate_proper(split.formula, PartialAssignment.of(x), limit=2)
         if len(models) == 1 and models[0].extends(split.anchor_t):
             return True
     return False

@@ -31,9 +31,6 @@ class ReductionArtifact:
         if sorted(covered) != list(self.output.variables):
             raise ContractViolation("provenance must cover every output variable once")
 
-    def role_of(self, var: int) -> str:
-        return dict(self.provenance)[var]
-
     def provenance_text(self) -> str:
         return "".join(f"var {v} role {tag}\n" for v, tag in self.provenance)
 
@@ -126,6 +123,12 @@ def reduce_unique_to_q2(split: QuantifiedSplit
     the v/v' pairs interleaved, then the w chain.  Returns the instance plus
     a map source x variable -> (v index, v' index).
     """
+    instance, pair, _ = _unique_to_q2(split)
+    return instance, pair
+
+
+def _unique_to_q2(split: QuantifiedSplit):
+    """reduce_unique_to_q2, plus the sorted provenance tags of the output."""
     phi = split.formula
     if phi.width > 3:
         raise ContractViolation(f"input must be 3CNF, got width {phi.width}")
@@ -189,23 +192,13 @@ def reduce_unique_to_q2(split: QuantifiedSplit
     if evaluate(out, anchor) is not Eval.SATISFIED:
         raise ContractViolation("constructed anchor does not satisfy the output")
     instance = DefsetSatInstance(out, anchor, budget=k)
-    return instance, pair
+    return instance, pair, tuple(sorted(provenance))
 
 
 def q2_artifact(split: QuantifiedSplit) -> ReductionArtifact:
     """ReductionArtifact view of reduce_unique_to_q2 (for CLI/provenance)."""
-    instance, pair = reduce_unique_to_q2(split)
-    ys = sorted(split.y_vars)
-    tags: Dict[int, str] = {j: f"original-y-{y}"
-                            for j, y in enumerate(ys, start=1)}
-    for i, x in enumerate(sorted(split.x_vars), start=1):
-        v, vp = pair[x]
-        tags[v] = f"v-pair-{i}"
-        tags[vp] = f"v'-pair-{i}"
-    chain = [v for v in instance.formula.variables if v not in tags]
-    for j, v in enumerate(chain, start=1):
-        tags[v] = f"w-chain-{j}"
-    return ReductionArtifact(instance.formula, tuple(sorted(tags.items())),
+    instance, _, provenance = _unique_to_q2(split)
+    return ReductionArtifact(instance.formula, provenance,
                              anchor_out=instance.anchor,
                              budget_out=instance.budget)
 

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defsets.cnf import (CnfError, CnfFormula, Eval, PartialAssignment,
-                         count_extensions, enumerate_proper, evaluate,
-                         format_assignment, is_proper_partial, normalize_width,
-                         parse_assignment, parse_cnf)
+                         enumerate_proper, evaluate, format_assignment,
+                         is_proper_partial, normalize_width, parse_assignment,
+                         parse_cnf)
 
 PA = PartialAssignment.of
 
@@ -54,6 +54,41 @@ def test_assignment_format_round_trip():
     t = PA({1: True, 2: False, 3: True})
     assert parse_assignment(format_assignment(t)) == t
     assert parse_assignment("1 -2 3 0") == t
+
+
+def test_parse_assignment_rejects_bad_tokens_naming_the_line():
+    with pytest.raises(CnfError, match="line 2: bad token"):
+        parse_assignment("1 -2\n3 x 0")
+    with pytest.raises(CnfError, match="line 1: conflicting"):
+        parse_assignment("1 -1 0")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.text(max_size=30),
+    st.lists(st.sampled_from(["0", "1", "-1", "2", "-3", "x", "1.5", "\n"]),
+             max_size=8).map(" ".join)))
+def test_parse_assignment_parses_or_raises_cnf_error(text):
+    try:
+        t = parse_assignment(text)
+    except CnfError:
+        return
+    assert all(v > 0 for v in t.support)
+    assert parse_assignment(format_assignment(t)) == t
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.text(max_size=30),
+    st.lists(st.lists(st.sampled_from(["p", "cnf", "c", "x", "0", "1", "-1",
+                                       "2", "-2", "3"]), max_size=5)
+             .map(" ".join), max_size=5).map("\n".join)))
+def test_parse_cnf_parses_or_raises_cnf_error(text):
+    try:
+        f = parse_cnf(text)
+    except CnfError:
+        return
+    assert parse_cnf(f.to_dimacs()) == f
 
 
 def test_evaluate_examples():
@@ -143,7 +178,7 @@ def test_proper_partial_implies_all_extensions_satisfy(f):
                 t = PA(dict(zip(combo, bits)))
                 if is_proper_partial(f, t):
                     total = 2 ** (f.num_vars - size)
-                    assert count_extensions(f, t, limit=total + 1) == total
+                    assert len(enumerate_proper(f, t, limit=total + 1)) == total
 
 
 def test_normalize_width_pads_and_preserves_models():

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defsets.graphs import (Coloring, Graph, GraphError, chromatic_number,
-                            count_colorings, enumerate_colorings,
-                            format_coloring, is_k_colorable, is_proper,
-                            parse_coloring, parse_graph)
+                            enumerate_colorings, format_coloring,
+                            is_k_colorable, is_proper, parse_coloring,
+                            parse_graph)
 
 TRIANGLE = Graph.of(3, [(0, 1), (1, 2), (0, 2)])
 
@@ -34,6 +34,64 @@ def test_parse_graph_examples():
         parse_graph("e 1 2\n")
     with pytest.raises(GraphError, match="out of range"):
         parse_graph("p edge 2 1\ne 1 3\n")
+
+
+@pytest.mark.parametrize("text, line", [
+    ("p edge -1 0\n", 1),
+    ("p edge 3 x\n", 1),
+    ("c three vertices\np edge 3 5\ne 1 2\n", 2),
+    ("p edge 3 1\ne 1 y\n", 2),
+])
+def test_parse_graph_rejects_bad_input_naming_the_line(text, line):
+    with pytest.raises(GraphError, match=f"line {line}:"):
+        parse_graph(text)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("v 0 -3\n", 1),
+    ("v 1 -3\n", 1),
+    ("v 1 0\nv 2 1\nv 1 2\n", 3),
+    ("v 1 z\n", 1),
+])
+def test_parse_coloring_rejects_bad_input_naming_the_line(text, line):
+    with pytest.raises(GraphError, match=f"line {line}:"):
+        parse_coloring(text)
+
+
+NUMBERS = ["-1", "0", "1", "2", "3", "x", "1.5"]
+
+
+def dimacs_like_text():
+    line = st.one_of(
+        st.tuples(st.sampled_from(["p edge", "e", "v"]), st.sampled_from(NUMBERS),
+                  st.sampled_from(NUMBERS)).map(" ".join),
+        st.lists(st.sampled_from(["p", "edge", "e", "v", "c"] + NUMBERS),
+                 max_size=5).map(" ".join))
+    return st.one_of(st.text(max_size=30),
+                     st.lists(line, max_size=6).map("\n".join))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dimacs_like_text())
+def test_parse_graph_parses_or_raises_graph_error(text):
+    try:
+        g = parse_graph(text)
+    except GraphError:
+        return
+    assert g.num_vertices >= 0
+    assert parse_graph(g.to_dimacs()) == g
+
+
+@settings(max_examples=60, deadline=None)
+@given(dimacs_like_text())
+def test_parse_coloring_parses_or_raises_graph_error(text):
+    try:
+        partial = parse_coloring(text)
+    except GraphError:
+        return
+    assert all(v >= 0 and c >= 0 for v, c in partial.items())
+    assert len(partial) == sum(line.split()[:1] == ["v"]
+                               for line in text.splitlines())
 
 
 def test_graph_dimacs_round_trip():
@@ -81,13 +139,6 @@ def test_enumerate_colorings_examples():
 def test_enumerate_is_lexicographic():
     edge = Graph.of(2, [(0, 1)])
     assert [c.colors for c in enumerate_colorings(edge)] == [(0, 1), (1, 0)]
-
-
-def test_count_colorings_matches_enumeration():
-    g = Graph.of(4, [(0, 1), (1, 2), (2, 3)])
-    chi = chromatic_number(g)
-    n = count_colorings(g, {}, limit=1 << 20, chi=chi)
-    assert n == len(enumerate_colorings(g, chi=chi))
 
 
 def test_coloring_extends():

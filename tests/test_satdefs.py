@@ -1,4 +1,6 @@
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
@@ -166,6 +168,27 @@ def test_decision_forms_agree_with_minimum():
     f = CnfFormula.of(2, [(1, 2)])
     assert not family_has_defining_set_within(f, 0)
     assert family_has_defining_set_within(f, 1)
+
+
+def test_family_decision_matches_truth_table_reference():
+    # minima from 0 to 5 and one unsatisfiable formula (no defining set)
+    rng = random.Random(21)
+    for _ in range(12):
+        n = rng.randint(2, 6)
+        clauses = [tuple(rng.choice((v, -v)) for v in
+                         rng.sample(range(1, n + 1), rng.randint(1, min(n, 3))))
+                   for _ in range(rng.randint(1, n + 2))]
+        f = CnfFormula.of(n, clauses)
+        family = [bits for bits in itertools.product([False, True], repeat=n)
+                  if all(any(bits[abs(l) - 1] == (l > 0) for l in c)
+                         for c in clauses)]
+        fmin = min((len(combo) for size in range(n + 1)
+                    for combo in itertools.combinations(range(n), size)
+                    if 1 in Counter(tuple(bits[v] for v in combo)
+                                    for bits in family).values()),
+                   default=n + 1)
+        for k in range(n + 1):
+            assert family_has_defining_set_within(f, k) == (fmin <= k)
 
 
 def test_variable_cap_enforced():

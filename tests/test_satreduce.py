@@ -3,8 +3,8 @@ import itertools
 import pytest
 
 from defsets.cnf import (CnfFormula, ContractViolation, Eval,
-                         PartialAssignment, count_extensions, enumerate_proper,
-                         evaluate, is_proper_partial, parse_cnf)
+                         PartialAssignment, enumerate_proper, evaluate,
+                         is_proper_partial, parse_cnf)
 from defsets.satdefs import (DefsetSatInstance, QuantifiedSplit,
                              exists_forall_check, exists_uniqueexists_check,
                              family_has_defining_set_within,
